@@ -1,10 +1,12 @@
-// Package graph provides a small generic digraph substrate: adjacency
-// construction, breadth-first search, shortest-path counting, and
-// connectivity. It is deliberately independent of the torus package so that
-// torus-specific distance and routing code can be cross-validated against a
-// structure-agnostic implementation, and so that fault analysis can operate
-// on mutilated copies of the network.
 package graph
+
+import "torusnet/internal/torus"
+
+// The digraph oracle: a small structure-agnostic digraph with BFS,
+// shortest-path counting and connectivity, built independently of the
+// torus package's distance code so the tests in this package can
+// cross-check torus distances and minimal-path counts against it. Nothing
+// outside these tests uses it, so it lives in test files only.
 
 // Digraph is a directed graph over nodes 0..N-1 with parallel edges
 // permitted (a k=2 torus ring has genuine parallel links).
@@ -140,4 +142,30 @@ func (g *Digraph) Reverse() *Digraph {
 		}
 	}
 	return out
+}
+
+// FromTorus builds the digraph of a torus, one graph edge per directed
+// torus link, in torus edge-index order (graph edge i corresponds to torus
+// edge i in iteration order of adjacency lists built here).
+func FromTorus(t *torus.Torus) *Digraph {
+	g := New(t.Nodes())
+	t.ForEachNode(func(u torus.Node) {
+		for j := 0; j < t.D(); j++ {
+			g.AddEdge(int(u), int(t.Step(u, j, torus.Plus)))
+			g.AddEdge(int(u), int(t.Step(u, j, torus.Minus)))
+		}
+	})
+	return g
+}
+
+// FromTorusWithout builds the torus digraph minus a set of failed directed
+// links, for fault analysis.
+func FromTorusWithout(t *torus.Torus, failed map[torus.Edge]bool) *Digraph {
+	g := New(t.Nodes())
+	t.ForEachEdge(func(e torus.Edge) {
+		if !failed[e] {
+			g.AddEdge(int(t.EdgeSource(e)), int(t.EdgeTarget(e)))
+		}
+	})
+	return g
 }

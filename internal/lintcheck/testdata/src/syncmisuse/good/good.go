@@ -47,7 +47,7 @@ func (tc *tableCache) table(build func() []int) []int {
 }
 
 // scatterWorkers fans translation jobs out to goroutines and joins them
-// all before returning, the shape of the fast path's scatter stage.
+// all before returning, the shape of the generic engine's pair stage.
 func scatterWorkers(jobs []int, apply func(int)) {
 	var wg sync.WaitGroup
 	for _, j := range jobs {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"torusnet/internal/obs"
 	"torusnet/internal/placement"
@@ -15,40 +14,32 @@ import (
 // The translation-symmetry fast path (Theorem 2's mechanism, generalized).
 //
 // When the placement is closed under a translation subgroup G and the
-// routing algorithm is translation-equivariant, the per-edge load pattern
-// contributed by source p ⊕ t is exactly the pattern of source p with every
-// edge index translated by t. So instead of walking routes for all
-// |P|·(|P|−1) ordered pairs, the engine
+// routing algorithm is translation-equivariant, the load vector is
+// G-invariant: a link's load depends only on its G-coset and its
+// (dimension, direction) slot, not on the node it leaves. Source r ⊕ g
+// contributes the pattern of source r shifted by g, so with base the summed
+// patterns of one representative source per G-orbit,
 //
-//  1. partitions the sources into G-orbits,
-//  2. walks routes for ONE canonical source per orbit against all
-//     destinations (O(|P|/|G| · |P| · d · k) routing work), and
-//  3. replicates each orbit's base pattern to its other members by
-//     translating edge indices through a precomputed node-translation
-//     table (O(|P|·|E|) index arithmetic, no routing).
+//	load[u, s] = Σ_{v ∈ u+G} base[v, s].
+//
+// The engine therefore
+//
+//  1. labels every node by its G-coset (each has exactly |G| members,
+//     because translations act freely),
+//  2. walks routes for ONE representative source per orbit against all
+//     destinations into a single |E| buffer (O(|P|/|G| · |P| · d · k)
+//     routing work),
+//  3. folds that buffer onto |N|/|G| cosets × 2d slots, and
+//  4. copies each coset's folded row back to its member nodes.
 //
 // For a linear placement |G| = k^{d−1} = |P|, so step 2 collapses to a
-// single source: a ~k^{d−1}× reduction in routing walks.
-
-// nnzEntry is one nonzero of an orbit's base load vector with the edge
-// index pre-split into source node and (dimension, direction) slot, so the
-// scatter loop translates with one table lookup and no division.
-type nnzEntry struct {
-	u    int32 // edge source node
-	slot int32 // edge index mod 2d: dimension and direction
-	w    float64
-}
-
-// scatterJob replicates one orbit's base pattern to one source.
-type scatterJob struct {
-	orbit  int   // index into bases
-	offset []int // stabilizer offset with src = rep ⊕ offset
-}
+// single source. Everything runs serially in a fixed order, so the result
+// does not depend on the worker count.
 
 // computeSymmetry runs the fast path, reporting ok=false when it does not
-// apply: non-equivariant algorithm, fewer than two processors, or (unless
-// force) a trivial stabilizer that would make it a slower generic engine.
-func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Algorithm, workers int, force bool) (*Result, bool) {
+// apply: non-equivariant algorithm, fewer than two processors, or a trivial
+// stabilizer, for which the fold is just a slower serial generic loop.
+func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Algorithm) (*Result, bool) {
 	if !routing.IsTranslationEquivariant(alg) {
 		return nil, false
 	}
@@ -58,120 +49,105 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 		return nil, false
 	}
 	stab := p.TranslationStabilizer()
-	if len(stab) == 1 && !force {
+	if len(stab) == 1 {
 		return nil, false
 	}
+	coset, cosets := cosetLabels(t, stab)
 
-	// Orbit partition. Translations act freely on nodes, so each orbit has
-	// exactly |stab| distinct members, all inside P by closure; iterating
-	// processors in index order and stabilizers in their fixed order makes
-	// reps and jobs deterministic.
-	seen := make([]bool, t.Nodes())
-	reps := make([]torus.Node, 0, len(procs)/len(stab)+1)
-	jobs := make([]scatterJob, 0, len(procs))
-	for _, src := range procs {
-		if seen[src] {
-			continue
-		}
-		orbit := len(reps)
-		reps = append(reps, src)
-		for _, off := range stab {
-			img := t.Translate(src, off)
-			seen[img] = true
-			jobs = append(jobs, scatterJob{orbit: orbit, offset: off})
-		}
-	}
-
-	// Base vectors: one canonical source per orbit against every
-	// destination, serial with a fixed destination order so the summation
-	// order never depends on the worker count.
+	// Base vectors: the first processor met in index order stands for its
+	// orbit (P is a union of G-cosets), and every representative routes to
+	// every destination in a fixed order into the one shared buffer.
 	ia, hasInto := alg.(routing.InplaceAccumulator)
-	bases := make([][]nnzEntry, len(reps))
+	loads := make([]float64, t.Edges())
 	func() {
 		_, bsp := obs.Start(ctx, "load.bases")
 		defer bsp.End()
-		bsp.SetAttrInt("orbits", int64(len(reps)))
+		bsp.SetAttrInt("orbits", int64(len(procs)/len(stab)))
 		bsp.SetAttrInt("stabilizer", int64(len(stab)))
 		withEngineLabel(ctx, EngineSymmetry, func() {
 			var sc *routing.PairScratch
+			var add func(torus.Edge, float64)
 			if hasInto {
 				sc = routing.NewPairScratch(t)
+			} else {
+				add = func(e torus.Edge, weight float64) { loads[e] += weight }
 			}
-			baseBuf := make([]float64, t.Edges())
-			addBase := func(e torus.Edge, weight float64) { baseBuf[e] += weight }
-			for oi, rep := range reps {
-				for i := range baseBuf {
-					baseBuf[i] = 0
+			seen := make([]bool, cosets)
+			for _, rep := range procs {
+				if seen[coset[rep]] {
+					continue
 				}
+				seen[coset[rep]] = true
 				for _, dst := range procs {
 					if dst == rep {
 						continue
 					}
 					if hasInto {
-						ia.AccumulatePairInto(t, rep, dst, baseBuf, sc)
+						ia.AccumulatePairInto(t, rep, dst, loads, sc)
 					} else {
-						alg.AccumulatePair(t, rep, dst, addBase)
+						alg.AccumulatePair(t, rep, dst, add)
 					}
 				}
-				nnz := make([]nnzEntry, 0, len(procs)*t.D()*t.K()/2)
-				td2 := 2 * t.D()
-				for e, w := range baseBuf {
-					if w != 0 {
-						nnz = append(nnz, nnzEntry{u: int32(e / td2), slot: int32(e % td2), w: w})
-					}
-				}
-				bases[oi] = nnz
 			}
 		})
 	}()
 
-	// Replication: every job translates its orbit's nonzeros through a
-	// per-worker node-translation table. Same striped partition + worker-
-	// order merge as the generic engine, so determinism semantics match.
-	if workers > len(jobs) {
-		workers = maxInt(1, len(jobs))
-	}
-	td2 := 2 * t.D()
-	partials := make([][]float64, workers)
+	// Fold by (coset, slot), then broadcast each folded row back over the
+	// base buffer, which becomes the load vector.
 	func() {
-		_, ssp := obs.Start(ctx, "load.scatter")
-		defer ssp.End()
-		ssp.SetAttrInt("jobs", int64(len(jobs)))
-		withEngineLabel(ctx, EngineSymmetry, func() {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					local := make([]float64, t.Edges())
-					table := make([]torus.Node, t.Nodes())
-					for ji := w; ji < len(jobs); ji += workers {
-						job := jobs[ji]
-						t.TranslationTableInto(job.offset, table)
-						for _, ent := range bases[job.orbit] {
-							local[int(table[ent.u])*td2+int(ent.slot)] += ent.w
-						}
-					}
-					partials[w] = local
-				}(w)
+		_, fsp := obs.Start(ctx, "load.fold")
+		defer fsp.End()
+		fsp.SetAttrInt("cosets", int64(cosets))
+		td2 := 2 * t.D()
+		folded := make([]float64, cosets*td2)
+		for u, c := range coset {
+			row := folded[int(c)*td2 : int(c+1)*td2]
+			for s, v := range loads[u*td2 : (u+1)*td2] {
+				row[s] += v
 			}
-			wg.Wait()
-		})
-	}()
-
-	loads := make([]float64, t.Edges())
-	func() {
-		_, msp := obs.Start(ctx, "load.merge")
-		defer msp.End()
-		for _, local := range partials {
-			for e, v := range local {
-				loads[e] += v
-			}
+		}
+		for u, c := range coset {
+			copy(loads[u*td2:(u+1)*td2], folded[int(c)*td2:int(c+1)*td2])
 		}
 	}()
 	res := newResult(t, p, alg.Name(), loads)
 	res.Engine = EngineSymmetry
 	return res, true
+}
+
+// cosetLabels numbers the cosets u+G of the stabilizer G in order of their
+// smallest node and returns every node's coset with the coset count
+// |N|/|G|. Stabilizer offsets have coordinates in [0, k), so each image
+// coordinate wraps with one subtraction, and the image index is recomposed
+// from the row-major strides CoordsInto decodes (dimension 0 fastest).
+func cosetLabels(t *torus.Torus, stab [][]int) ([]int32, int) {
+	k := t.K()
+	coset := make([]int32, t.Nodes())
+	for u := range coset {
+		coset[u] = -1
+	}
+	coords := make([]int, t.D())
+	next := int32(0)
+	for u := range coset {
+		if coset[u] >= 0 {
+			continue
+		}
+		t.CoordsInto(torus.Node(u), coords)
+		for _, off := range stab {
+			img, stride := 0, 1
+			for j, c := range coords {
+				if c += off[j]; c >= k {
+					c -= k
+				}
+				img += c * stride
+				//lint:ignore overflowvol stride ≤ k^{d−1} < t.Nodes(), which torus.New bounds by MaxNodes.
+				stride *= k
+			}
+			coset[img] = next
+		}
+		next++
+	}
+	return coset, int(next)
 }
 
 // crossCheckTolerance bounds the relative divergence the two engines may

@@ -34,9 +34,9 @@ func TestFastPathMatchesGenericAndExact(t *testing.T) {
 		for _, spec := range specs {
 			p := mustBuild(t, spec, tr)
 			for _, alg := range algs {
-				fast := Compute(p, alg, Options{FastPath: FastPathForce})
+				fast := Compute(p, alg, Options{})
 				if fast.Engine != EngineSymmetry {
-					t.Fatalf("%s/%s on %s: forced fast path used engine %q", spec.Name(), alg.Name(), tr, fast.Engine)
+					t.Fatalf("%s/%s on %s: fast path used engine %q", spec.Name(), alg.Name(), tr, fast.Engine)
 				}
 				generic := Compute(p, alg, Options{FastPath: FastPathOff})
 				if generic.Engine != EngineGeneric {
@@ -76,27 +76,12 @@ func TestFastPathAutoDispatch(t *testing.T) {
 	if res := Compute(random, routing.ODR{}, Options{}); res.Engine != EngineGeneric {
 		t.Fatalf("random/ODR auto: engine %q, want generic", res.Engine)
 	}
-	// MeshODR is not translation-equivariant: even Force must stay generic.
-	if res := Compute(linear, routing.MeshODR{}, Options{FastPath: FastPathForce}); res.Engine != EngineGeneric {
-		t.Fatalf("linear/MeshODR forced: engine %q, want generic (unsound)", res.Engine)
+	// MeshODR is not translation-equivariant: symmetry would be unsound.
+	if res := Compute(linear, routing.MeshODR{}, Options{}); res.Engine != EngineGeneric {
+		t.Fatalf("linear/MeshODR auto: engine %q, want generic (unsound)", res.Engine)
 	}
 	if res := Compute(linear, routing.ODR{}, Options{FastPath: FastPathOff}); res.Engine != EngineGeneric {
 		t.Fatalf("linear/ODR off: engine %q, want generic", res.Engine)
-	}
-}
-
-// TestFastPathForceTrivialStabilizer checks Force is still exact when the
-// stabilizer is only the identity (every source is its own orbit).
-func TestFastPathForceTrivialStabilizer(t *testing.T) {
-	tr := torus.New(5, 2)
-	p := mustBuild(t, placement.Random{Count: 6, Seed: 7}, tr)
-	fast := Compute(p, routing.UDR{}, Options{FastPath: FastPathForce})
-	if fast.Engine != EngineSymmetry {
-		t.Fatalf("forced fast path used engine %q", fast.Engine)
-	}
-	generic := Compute(p, routing.UDR{}, Options{FastPath: FastPathOff})
-	if div := MaxEngineDivergence(fast, generic); div > 1e-9 {
-		t.Fatalf("trivial-stabilizer fast path diverges by %g", div)
 	}
 }
 
@@ -115,18 +100,18 @@ func TestFastPathCrossCheckMode(t *testing.T) {
 }
 
 // TestFastPathDeterministicAcrossWorkerCounts mirrors the generic engine's
-// determinism contract for the symmetry engine; run under -race in CI it
-// also proves the scatter phase is data-race-free.
+// determinism contract for the symmetry engine, which runs serially in a
+// fixed order whatever the worker count.
 func TestFastPathDeterministicAcrossWorkerCounts(t *testing.T) {
 	tr := torus.New(6, 3)
 	p := mustBuild(t, placement.Linear{C: 0}, tr)
-	ref := Compute(p, routing.UDRMulti{}, Options{Workers: 1, FastPath: FastPathForce})
+	ref := Compute(p, routing.UDRMulti{}, Options{Workers: 1})
 	for _, workers := range []int{2, 3, 8, 64} {
-		got := Compute(p, routing.UDRMulti{}, Options{Workers: workers, FastPath: FastPathForce})
+		got := Compute(p, routing.UDRMulti{}, Options{Workers: workers})
 		if got.Engine != EngineSymmetry {
 			t.Fatalf("workers=%d: engine %q", workers, got.Engine)
 		}
-		if div := MaxEngineDivergence(ref, got); div > 1e-9 {
+		if div := MaxEngineDivergence(ref, got); div != 0 {
 			t.Fatalf("workers=%d diverges from serial by %g", workers, div)
 		}
 	}
@@ -139,12 +124,93 @@ func TestFastPathConservation(t *testing.T) {
 	tr := torus.New(6, 2)
 	for _, spec := range []placement.Spec{placement.Linear{C: 2}, placement.MultipleLinear{T: 3}} {
 		p := mustBuild(t, spec, tr)
-		res := Compute(p, routing.ODRMulti{}, Options{FastPath: FastPathForce})
+		res := Compute(p, routing.ODRMulti{}, Options{})
+		if res.Engine != EngineSymmetry {
+			t.Fatalf("%s: engine %q, want symmetry", spec.Name(), res.Engine)
+		}
 		if want := ExpectedTotal(p); math.Abs(res.Total-want) > 1e-6 {
 			t.Fatalf("%s: total %g, want %g", spec.Name(), res.Total, want)
 		}
 	}
 }
+
+// FuzzSymmetryEngine is the oracle for the symmetry engine on small tori
+// (k 2–7, d 2–3): for linear, multilinear, diagonal and random placements
+// and every translation-equivariant algorithm it checks that the result
+// matches the generic engine per edge, conserves the total load, and is
+// constant on every coset of the stabilizer in each (dimension, direction)
+// slot. Placements with a non-trivial stabilizer must take the symmetry
+// engine, so the fuzzer cannot drift into testing the generic engine alone.
+func FuzzSymmetryEngine(f *testing.F) {
+	f.Add(4, 2, 0, 0, 0)
+	f.Add(5, 3, 1, 2, 3)
+	f.Add(6, 2, 2, 1, 1)
+	f.Add(7, 2, 3, 5, 4)
+	f.Add(6, 3, 4, 3, 5)
+	f.Add(3, 3, 0, 7, 2)
+	f.Add(2, 3, 1, 1, 0)
+	f.Fuzz(func(t *testing.T, kRaw, dRaw, kind, param, algRaw int) {
+		k := 2 + pick(kRaw, 6)
+		d := 2 + pick(dRaw, 2)
+		tr := torus.New(k, d)
+		coeffs := make([]int, d)
+		for j := range coeffs {
+			coeffs[j] = 1 + pick(param+j, k)
+		}
+		var spec placement.Spec
+		switch pick(kind, 5) {
+		case 0:
+			spec = placement.Linear{C: param}
+		case 1:
+			spec = placement.Linear{C: param, Coeffs: coeffs}
+		case 2:
+			spec = placement.MultipleLinear{Start: param, T: 1 + pick(param, k)}
+		case 3:
+			spec = placement.ShiftedDiagonal{Shift: param}
+		default:
+			spec = placement.Random{Count: 2 + pick(param, tr.Nodes()-1), Seed: int64(param)}
+		}
+		p, err := spec.Build(tr)
+		if err != nil {
+			t.Skip(err) // no unit coefficient mod k
+		}
+		order := make([]int, d) // a rotation of the dimensions
+		for j := range order {
+			order[j] = (j + pick(param, d)) % d
+		}
+		algs := []routing.Algorithm{routing.ODR{}, routing.ODRMulti{}, routing.UDR{}, routing.UDRMulti{},
+			routing.FAR{}, routing.ODROrder{Order: order}}
+		alg := algs[pick(algRaw, len(algs))]
+
+		fast := Compute(p, alg, Options{})
+		stab := p.TranslationStabilizer()
+		if len(stab) > 1 && p.Size() >= 2 && fast.Engine != EngineSymmetry {
+			t.Fatalf("%s/%s on %s: |G|=%d but engine %q", p.Name(), alg.Name(), tr, len(stab), fast.Engine)
+		}
+		generic := Compute(p, alg, Options{FastPath: FastPathOff})
+		for e := range fast.Loads {
+			if math.Abs(fast.Loads[e]-generic.Loads[e]) > 1e-9 {
+				t.Fatalf("%s/%s on %s: edge %s symmetry %g, generic %g",
+					p.Name(), alg.Name(), tr, tr.EdgeString(torus.Edge(e)), fast.Loads[e], generic.Loads[e])
+			}
+		}
+		if want := ExpectedTotal(p); math.Abs(fast.Total-want) > 1e-9*math.Max(1, want) {
+			t.Fatalf("%s/%s on %s: total %g, want %g", p.Name(), alg.Name(), tr, fast.Total, want)
+		}
+		for e := range fast.Loads {
+			for _, g := range stab {
+				img := tr.TranslateEdge(torus.Edge(e), g)
+				if math.Abs(fast.Loads[img]-fast.Loads[e]) > 1e-9 {
+					t.Fatalf("%s/%s on %s: load not G-invariant: edge %s %g, translate by %v %g",
+						p.Name(), alg.Name(), tr, tr.EdgeString(torus.Edge(e)), fast.Loads[e], g, fast.Loads[img])
+				}
+			}
+		}
+	})
+}
+
+// pick maps any fuzzed integer onto [0, n).
+func pick(x, n int) int { return int(uint(x) % uint(n)) }
 
 // TestEffectiveWorkersPureFunction is the regression test for the workers
 // bugfix task: the partial-accumulator count, and with it the float merge
@@ -166,7 +232,7 @@ func TestEffectiveWorkersPureFunction(t *testing.T) {
 
 	tr := torus.New(5, 2)
 	p := mustBuild(t, placement.Linear{C: 0}, tr) // |P| = 5
-	for _, mode := range []FastPathMode{FastPathOff, FastPathForce} {
+	for _, mode := range []FastPathMode{FastPathOff, FastPathAuto} {
 		capped := Compute(p, routing.UDR{}, Options{Workers: 5, FastPath: mode})
 		over := Compute(p, routing.UDR{}, Options{Workers: 1000, FastPath: mode})
 		for e := range capped.Loads {

@@ -77,11 +77,6 @@ const (
 	FastPathAuto FastPathMode = iota
 	// FastPathOff always uses the generic pair loop.
 	FastPathOff
-	// FastPathForce uses the symmetry engine whenever it is sound, even for
-	// a trivial (identity-only) stabilizer where it has no speed advantage.
-	// Unsound combinations still fall back to the generic engine: soundness
-	// is never negotiable.
-	FastPathForce
 )
 
 // String names the mode for diagnostics.
@@ -91,8 +86,6 @@ func (m FastPathMode) String() string {
 		return "auto"
 	case FastPathOff:
 		return "off"
-	case FastPathForce:
-		return "force"
 	default:
 		return fmt.Sprintf("FastPathMode(%d)", int(m))
 	}
@@ -100,7 +93,8 @@ func (m FastPathMode) String() string {
 
 // Options configures the engine.
 type Options struct {
-	// Workers is the number of goroutines; 0 means GOMAXPROCS.
+	// Workers is the number of goroutines the generic engine uses; 0 means
+	// GOMAXPROCS. The symmetry engine runs serially.
 	Workers int
 	// FastPath selects the translation-symmetry fast path; the zero value
 	// auto-detects. Both engines compute the same expectations, so results
@@ -140,8 +134,9 @@ func Compute(p *placement.Placement, alg routing.Algorithm, opts Options) *Resul
 
 // ComputeCtx is Compute with observability threaded through ctx: when the
 // context carries an active trace, the dispatch, engine stages, and merge
-// record spans (load.compute → load.pairs / load.bases / load.scatter →
-// load.merge) and the engine goroutines carry a pprof "engine" label. With
+// record spans (load.compute → load.pairs → load.merge for the generic
+// engine, load.compute → load.bases → load.fold for the symmetry engine)
+// and the engine work carries a pprof "engine" label. With
 // no active trace the instrumentation collapses to nil-span no-ops, so the
 // background-context Compute path stays allocation-identical to before.
 func ComputeCtx(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options) *Result {
@@ -160,7 +155,7 @@ func ComputeCtx(ctx context.Context, p *placement.Placement, alg routing.Algorit
 		return res
 	}
 	if opts.FastPath != FastPathOff {
-		if res, ok := computeSymmetry(ctx, p, alg, workers, opts.FastPath == FastPathForce); ok {
+		if res, ok := computeSymmetry(ctx, p, alg); ok {
 			sp.SetAttr("engine", EngineSymmetry)
 			if opts.CrossCheck {
 				crossCheck(res, computeGeneric(ctx, p, alg, workers))

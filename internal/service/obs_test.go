@@ -130,7 +130,7 @@ func TestTraceHasPipelineStages(t *testing.T) {
 	}
 	for _, want := range []string{
 		"http.request", "cache.get", "flight.do", "pool.submit", "pool.run",
-		"core.analyze", "load.compute", "load.merge", "core.bounds",
+		"core.analyze", "load.compute", "load.fold", "core.bounds",
 	} {
 		if !names[want] {
 			t.Errorf("span %q missing from trace; have %v", want, names)

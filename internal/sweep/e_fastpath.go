@@ -20,9 +20,9 @@ func init() {
 // placement/algorithm matrix: for symmetric placements it reports the
 // stabilizer size, the orbit count, and the maximum per-edge divergence
 // between the symmetry and generic engines; unstructured placements must
-// show the automatic fallback. Workers is pinned to 1 so the float
-// summation order — and with it the divergence column — is machine-
-// independent.
+// show the automatic fallback. Workers is pinned to 1 so the generic
+// engine's float summation order — and with it the divergence column — is
+// machine-independent (the symmetry engine is serial regardless).
 func runE31(scale Scale) *Table {
 	type cse struct {
 		k, d int
@@ -71,6 +71,6 @@ func runE31(scale Scale) *Table {
 		tb.AddRow(c.d, c.k, p.Name(), c.alg.Name(), p.Size(), len(stab), orbits,
 			fast.Engine, div, agree)
 	}
-	tb.AddNote("Linear placements are closed under the k^{d−1} translations with zero coordinate sum, so one orbit covers every source and routing walks drop from |P|² to |P| pairs. Random placements (trivial stabilizer) and MeshODR (not translation-equivariant: the array metric distinguishes wrap links) dispatch to the generic engine automatically; divergence beyond float summation order is a soundness failure.")
+	tb.AddNote("Linear placements are closed under the k^{d−1} translations with zero coordinate sum, so one orbit covers every source and routing walks drop from |P|² to |P| pairs; the symmetry engine then folds that one base vector over the k cosets of the stabilizer and copies each coset's row back to its nodes. Random placements (trivial stabilizer) and MeshODR (not translation-equivariant: the array metric distinguishes wrap links) dispatch to the generic engine automatically; divergence beyond float summation order is a soundness failure.")
 	return tb
 }

@@ -3,7 +3,8 @@
 #
 # Runs the BenchmarkLoadCompute* micro-benchmarks plus BenchmarkE31FastPath
 # and the BenchmarkAnalyzeAnalytic* closed-form tier benchmarks
-# with -benchmem -count=$BENCH_COUNT (default 3), keeps each benchmark's
+# with -benchmem -count=$BENCH_COUNT (default 3) at -cpu 1 (the GOMAXPROCS
+# the baseline was recorded at), keeps each benchmark's
 # fastest run, and writes results/BENCH_load.json recording the current
 # ("after") numbers side by side with the committed pre-fast-path baseline
 # ("before", results/BENCH_load_baseline.json) and the resulting speedup and
@@ -17,9 +18,9 @@ OUT="results/BENCH_load.json"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-echo "bench: go test -bench LoadCompute|E31FastPath|AnalyzeAnalytic -benchmem -count=${COUNT}"
+echo "bench: go test -bench LoadCompute|E31FastPath|AnalyzeAnalytic -benchmem -count=${COUNT} -cpu 1"
 go test -run '^$' -bench '^(BenchmarkLoadCompute[A-Za-z]*|BenchmarkE31FastPath|BenchmarkAnalyzeAnalytic[A-Za-z0-9]*)$' \
-    -benchmem -count="$COUNT" . | tee "$RAW"
+    -benchmem -count="$COUNT" -cpu 1 . | tee "$RAW"
 
 # Keep each benchmark's minimum ns/op run (and that run's B/op + allocs/op).
 parsed=$(awk '
@@ -44,7 +45,7 @@ jq -n \
     --arg count "$COUNT" '
     ($base[0].benches) as $before |
     {
-      note: "Load-engine benchmarks: current tree (after, best of \($count) runs) vs the committed pre-fast-path baseline (before). Regenerate with `make bench`.",
+      note: "Load-engine benchmarks at -cpu 1: current tree (after, best of \($count) runs) vs the committed pre-fast-path baseline (before, also GOMAXPROCS 1). Regenerate with `make bench`.",
       generated: $date,
       go: $go,
       count: ($count | tonumber),

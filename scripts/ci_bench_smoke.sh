@@ -19,8 +19,10 @@
 #      analytic dispatch must stay >=100x faster than the fast-path engine
 #      within this same run.
 #
-# Absolute ns/op is deliberately NOT gated. Run from the repository root;
-# CI runs it via `make bench-smoke`.
+# Absolute ns/op is deliberately NOT gated. Every benchmark runs at -cpu 1,
+# the GOMAXPROCS the baseline records, so the generic engine's per-worker
+# buffers and the fast/generic ratio do not depend on the host's core
+# count. Run from the repository root; CI runs it via `make bench-smoke`.
 set -euo pipefail
 
 BASELINE="results/BENCH_load_baseline.json"
@@ -31,7 +33,7 @@ trap 'rm -f "$RAW"' EXIT
 echo "bench-smoke: running paired load benchmarks"
 go test -run '^$' \
     -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkAnalyzeAnalytic(K16|K64|K256)?)$' \
-    -benchmem -benchtime=0.5s -count=1 . | tee "$RAW"
+    -benchmem -benchtime=0.5s -count=1 -cpu 1 . | tee "$RAW"
 
 # name -> ns/op and name -> allocs/op maps from this run.
 measured=$(awk '

@@ -149,9 +149,6 @@ const (
 	FastPathAuto = load.FastPathAuto
 	// FastPathOff always runs the generic pair loop.
 	FastPathOff = load.FastPathOff
-	// FastPathForce runs the symmetry engine whenever it is sound, even
-	// for a trivial stabilizer.
-	FastPathForce = load.FastPathForce
 
 	// AnalyticOff never answers from the closed forms (the default: the
 	// analytic tier is opt-in because its results carry no per-edge loads).
