@@ -8,6 +8,7 @@ FUZZ_TARGETS := \
 	./internal/torus:FuzzWrapCoord \
 	./internal/torus:FuzzTranslateEdge \
 	./internal/load:FuzzSymmetryEngine \
+	./internal/optimize:FuzzSearchLoads \
 	./internal/service:FuzzDecodeAnalyzeRequest \
 	./internal/placement:FuzzRecognizeLinear \
 	./internal/cluster:FuzzHashRing \

@@ -1,6 +1,7 @@
 package torusnet
 
 import (
+	"context"
 	"testing"
 
 	"torusnet/internal/sweep"
@@ -296,3 +297,37 @@ func BenchmarkE29Adaptive(b *testing.B)    { benchExperiment(b, "E29") }
 func BenchmarkE30OpenLoop(b *testing.B)    { benchExperiment(b, "E30") }
 func BenchmarkE31FastPath(b *testing.B)    { benchExperiment(b, "E31") }
 func BenchmarkE32Analytic(b *testing.B)    { benchExperiment(b, "E32") }
+
+// BenchmarkBranchBoundT28 is one exhaustive branch-and-bound job of the
+// search workload: 8 processors on T²₈ under ODR, proven optimal at
+// E_max = 3 after a fixed number of expansions.
+func BenchmarkBranchBoundT28(b *testing.B) {
+	t := NewTorus(8, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := BranchBoundPlacement(context.Background(), t, ODR{}, AnnealConfig{Size: 8})
+		if err != nil || !res.Proven || res.BestEMax != 3 {
+			b.Fatalf("bnb on T^2_8: e_max %v proven %t err %v", res.BestEMax, res.Proven, err)
+		}
+	}
+}
+
+// BenchmarkAnnealT38 is one anneal job of the search workload: 64
+// processors on T³₈ under ODR, 300 steps from the Lee-sphere seed.
+func BenchmarkAnnealT38(b *testing.B) {
+	t := NewTorus(8, 3)
+	seed, err := LeeSeedPlacement(t, 64, ODR{}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := AnnealConfig{Size: 64, Steps: 300, Seed: 1, Start: seed.Best.Nodes()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := AnnealPlacement(t, ODR{}, cfg)
+		if res.BestEMax > res.StartEMax {
+			b.Fatalf("anneal best %v worse than start %v", res.BestEMax, res.StartEMax)
+		}
+	}
+}

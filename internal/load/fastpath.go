@@ -57,7 +57,6 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 	// Base vectors: the first processor met in index order stands for its
 	// orbit (P is a union of G-cosets), and every representative routes to
 	// every destination in a fixed order into the one shared buffer.
-	ia, hasInto := alg.(routing.InplaceAccumulator)
 	loads := make([]float64, t.Edges())
 	func() {
 		_, bsp := obs.Start(ctx, "load.bases")
@@ -65,13 +64,7 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 		bsp.SetAttrInt("orbits", int64(len(procs)/len(stab)))
 		bsp.SetAttrInt("stabilizer", int64(len(stab)))
 		withEngineLabel(ctx, EngineSymmetry, func() {
-			var sc *routing.PairScratch
-			var add func(torus.Edge, float64)
-			if hasInto {
-				sc = routing.NewPairScratch(t)
-			} else {
-				add = func(e torus.Edge, weight float64) { loads[e] += weight }
-			}
+			r := routing.NewPairRouter(t, alg)
 			seen := make([]bool, cosets)
 			for _, rep := range procs {
 				if seen[coset[rep]] {
@@ -82,11 +75,7 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 					if dst == rep {
 						continue
 					}
-					if hasInto {
-						ia.AccumulatePairInto(t, rep, dst, loads, sc)
-					} else {
-						alg.AccumulatePair(t, rep, dst, add)
-					}
+					r.Route(rep, dst, loads)
 				}
 			}
 		})

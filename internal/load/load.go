@@ -185,7 +185,6 @@ func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Alg
 	t := p.Torus()
 	procs := p.Nodes()
 
-	ia, hasInto := alg.(routing.InplaceAccumulator)
 	partials := make([][]float64, workers)
 	func() {
 		_, psp := obs.Start(ctx, "load.pairs")
@@ -198,31 +197,16 @@ func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Alg
 				go func(w int) {
 					defer wg.Done()
 					local := make([]float64, t.Edges())
+					r := routing.NewPairRouter(t, alg)
 					// Static block partition over source processors keeps the
 					// floating-point summation order stable per worker count.
-					if hasInto {
-						// Allocation-free steady state: scratch reused across pairs,
-						// mass deposited straight into the worker's local slice.
-						sc := routing.NewPairScratch(t)
-						for i := w; i < len(procs); i += workers {
-							src := procs[i]
-							for _, dst := range procs {
-								if dst == src {
-									continue
-								}
-								ia.AccumulatePairInto(t, src, dst, local, sc)
+					for i := w; i < len(procs); i += workers {
+						src := procs[i]
+						for _, dst := range procs {
+							if dst == src {
+								continue
 							}
-						}
-					} else {
-						add := func(e torus.Edge, weight float64) { local[e] += weight }
-						for i := w; i < len(procs); i += workers {
-							src := procs[i]
-							for _, dst := range procs {
-								if dst == src {
-									continue
-								}
-								alg.AccumulatePair(t, src, dst, add)
-							}
+							r.Route(src, dst, local)
 						}
 					}
 					partials[w] = local

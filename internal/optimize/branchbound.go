@@ -19,32 +19,24 @@ import (
 const BranchBoundNodeLimit = 512
 
 // DefaultMaxVisited is the branch-and-bound expansion budget when
-// Config.MaxVisited is zero. Expansions are cheap (a handful of
-// AccumulatePair calls each), so the default buys an exhaustive search of
-// T²₈-sized instances while bounding the worst case to seconds.
+// Config.MaxVisited is zero. Expansions are cheap (one level copy and a
+// handful of routed pairs each), so the default buys an exhaustive search
+// of T²₈-sized instances while bounding the worst case to seconds.
 const DefaultMaxVisited = 50_000_000
 
 // bnbCheckEvery is how many node expansions pass between context and
 // budget checks.
 const bnbCheckEvery = 4096
 
-// bnbEps absorbs float summation-order noise between the incremental loads
-// and the load engine's totals for fractional (multi-path) algorithms;
-// single-path loads are small integers and unaffected.
-const bnbEps = 1e-9
-
-// bnb is the search state of one BranchAndBound run. Edge loads are
-// maintained incrementally with an exact undo log (first-touch snapshots
-// per expansion), so descending and backtracking never accumulate float
-// drift.
+// bnb is the search state of one BranchAndBound run. Edge loads are kept
+// per depth: levels[m] is the load of the first m chosen nodes, so
+// descending writes a fresh level and backtracking just moves back one
+// depth. Reverts are exact and nothing is allocated per expansion.
 type bnb struct {
-	t   *torus.Torus
-	alg routing.Algorithm
+	t *torus.Torus
+	r *routing.PairRouter
 
-	loads []float64 // per-edge load of the current partial placement
-	mark  []int64   // expansion sequence that last touched each edge
-	seq   int64     // current expansion sequence number
-
+	levels [][]float64 // levels[m]: per-edge load of chosen[:m]
 	chosen []torus.Node
 	best   []torus.Node
 	bestE  float64 // incumbent energy (strict prune threshold)
@@ -57,6 +49,17 @@ type bnb struct {
 	progress        func(Progress)
 
 	err error // ctx error once observed; unwinds the recursion
+}
+
+// newBnb returns a search state for placements of size nodes on t under
+// alg, with an empty chosen set and every level allocated up front.
+func newBnb(t *torus.Torus, alg routing.Algorithm, size int) *bnb {
+	return &bnb{
+		t:      t,
+		r:      routing.NewPairRouter(t, alg),
+		levels: newLoadVectors(size+1, t.Edges()),
+		chosen: make([]torus.Node, 0, size),
+	}
 }
 
 // BranchAndBound exhaustively searches all size-subsets of t's nodes for
@@ -111,31 +114,22 @@ func BranchAndBound(ctx context.Context, t *torus.Torus, alg routing.Algorithm, 
 	if every <= 0 {
 		every = 65536
 	}
-	b := &bnb{
-		t:        t,
-		alg:      alg,
-		loads:    make([]float64, t.Edges()),
-		mark:     make([]int64, t.Edges()),
-		chosen:   make([]torus.Node, 0, cfg.Size),
-		best:     incumbent,
-		bestE:    incumbentE,
-		floor:    bounds.Blaum(cfg.Size, t.D()),
-		budget:   budget,
-		every:    every,
-		progress: cfg.Progress,
-	}
+	b := newBnb(t, alg, cfg.Size)
+	b.best, b.bestE = incumbent, incumbentE
+	b.floor = bounds.Blaum(cfg.Size, t.D())
+	b.budget, b.every, b.progress = budget, every, cfg.Progress
 
 	complete := true
-	if b.bestE <= b.floor+bnbEps {
+	if b.bestE <= b.floor+searchEps {
 		// The seed already meets the placement-independent floor; nothing
 		// to search.
 		b.done = true
-	} else if routing.IsTranslationEquivariant(alg) {
-		// Every subset translates onto one containing node 0.
-		b.chosen = append(b.chosen, 0)
-		complete = b.descend(ctx, cfg.Size, 0)
 	} else {
-		complete = b.descend(ctx, cfg.Size, 0)
+		if routing.IsTranslationEquivariant(alg) {
+			// Every subset translates onto one containing node 0.
+			b.chosen = append(b.chosen, 0)
+		}
+		complete = b.descend(ctx, cfg.Size)
 	}
 	proven := b.err == nil && (complete || b.done)
 	sp.SetAttrInt("visited", b.visited)
@@ -157,11 +151,10 @@ func BranchAndBound(ctx context.Context, t *torus.Torus, alg routing.Algorithm, 
 }
 
 // descend tries every admissible next node after the last chosen one,
-// recursing until size nodes are chosen. curMax is the maximum edge load
-// of the current partial placement. It reports false when the enumeration
-// was cut off (budget exhausted or context cancelled) and is therefore
-// incomplete.
-func (b *bnb) descend(ctx context.Context, size int, curMax float64) bool {
+// recursing until size nodes are chosen. It reports false when the
+// enumeration was cut off (budget exhausted or context cancelled) and is
+// therefore incomplete.
+func (b *bnb) descend(ctx context.Context, size int) bool {
 	minNode := 0
 	if n := len(b.chosen); n > 0 {
 		minNode = int(b.chosen[n-1]) + 1
@@ -184,23 +177,22 @@ func (b *bnb) descend(ctx context.Context, size int, curMax float64) bool {
 		if b.progress != nil && b.visited%b.every == 0 {
 			b.progress(Progress{Strategy: StrategyBranchBound, Visited: b.visited, Pruned: b.pruned, BestEMax: b.bestE})
 		}
-		undo, newMax := b.addNode(torus.Node(v), curMax)
+		newMax := b.addNode(torus.Node(v))
 		ok := true
 		switch {
-		case newMax >= b.bestE-bnbEps:
+		case newMax >= b.bestE-searchEps:
 			// Monotone bound: no completion of this prefix can strictly
 			// beat the incumbent.
 			b.pruned++
 		case len(b.chosen) == size:
 			b.bestE = newMax
 			copy(b.best, b.chosen)
-			if b.bestE <= b.floor+bnbEps {
+			if b.bestE <= b.floor+searchEps {
 				b.done = true
 			}
 		default:
-			ok = b.descend(ctx, size, newMax)
+			ok = b.descend(ctx, size)
 		}
-		b.revert(undo)
 		b.chosen = b.chosen[:len(b.chosen)-1]
 		if !ok {
 			return false
@@ -209,42 +201,14 @@ func (b *bnb) descend(ctx context.Context, size int, curMax float64) bool {
 	return true
 }
 
-// edgeVal is one undo-log entry: an edge's load before the expansion that
-// first touched it.
-type edgeVal struct {
-	e   torus.Edge
-	old float64
-}
-
-// addNode appends v to the partial placement, stamping the complete-
-// exchange load of every (v, u) pair in both directions into loads, and
-// returns the undo log plus the new maximum edge load.
-func (b *bnb) addNode(v torus.Node, curMax float64) ([]edgeVal, float64) {
-	b.seq++
-	seq := b.seq
-	var undo []edgeVal
-	newMax := curMax
-	add := func(e torus.Edge, w float64) {
-		if b.mark[e] != seq {
-			b.mark[e] = seq
-			undo = append(undo, edgeVal{e, b.loads[e]})
-		}
-		b.loads[e] += w
-		if b.loads[e] > newMax {
-			newMax = b.loads[e]
-		}
-	}
-	for _, u := range b.chosen {
-		b.alg.AccumulatePair(b.t, u, v, add)
-		b.alg.AccumulatePair(b.t, v, u, add)
-	}
+// addNode appends v to the partial placement: the next level becomes the
+// current one plus the complete-exchange load of every (v, u) pair in both
+// directions. It returns the new maximum edge load.
+func (b *bnb) addNode(v torus.Node) float64 {
+	m := len(b.chosen)
+	next := b.levels[m+1]
+	copy(next, b.levels[m])
+	exchangeInto(b.r, v, b.chosen, -1, next)
 	b.chosen = append(b.chosen, v)
-	return undo, newMax
-}
-
-// revert restores the loads touched by one addNode, exactly.
-func (b *bnb) revert(undo []edgeVal) {
-	for _, uv := range undo {
-		b.loads[uv.e] = uv.old
-	}
+	return maxLoad(next)
 }

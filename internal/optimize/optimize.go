@@ -190,6 +190,11 @@ func Anneal(t *torus.Torus, alg routing.Algorithm, cfg Config) *Result {
 // moves and, when cancelled, returns the best placement found so far
 // together with ctx's error. Progress callbacks fire per Config.Progress.
 // The move sequence for a fixed seed is identical to Anneal's.
+//
+// Each proposal routes only the moved processor's pairs; the load engine
+// evaluates just the start placement and the returned Best, so
+// BestEMax is bit-identical to load.Compute on Best. When Size fills the
+// torus there is nowhere to move: the only placement returns after 0 steps.
 func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg Config) (*Result, error) {
 	if cfg.Size < 2 || cfg.Size > t.Nodes() {
 		panic("optimize: placement size out of range")
@@ -197,6 +202,9 @@ func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg C
 	steps := cfg.Steps
 	if steps <= 0 {
 		steps = 200
+	}
+	if cfg.Size == t.Nodes() {
+		steps = 0
 	}
 	t0 := cfg.InitialTemp
 	if t0 <= 0 {
@@ -206,7 +214,7 @@ func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg C
 	if t1 <= 0 {
 		t1 = 0.01
 	}
-	_, sp := obs.Start(ctx, "optimize.anneal")
+	sctx, sp := obs.Start(ctx, "optimize.anneal")
 	defer sp.End()
 	sp.SetAttrInt("size", int64(cfg.Size))
 	sp.SetAttrInt("steps", int64(steps))
@@ -231,9 +239,12 @@ func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg C
 	for _, u := range current {
 		occupied[u] = true
 	}
-	cur := energy(t, current, alg, cfg.Workers)
-	res := &Result{StartEMax: cur, BestEMax: cur, Steps: steps, Strategy: StrategyAnneal}
+	start := load.ComputeCtx(sctx, placement.New(t, current, "search"), alg, load.Options{Workers: cfg.Workers})
+	cur := start.Max
+	state := newRelocation(t, alg, start.Loads)
+	res := &Result{StartEMax: cur, Steps: steps, Strategy: StrategyAnneal}
 	best := append([]torus.Node(nil), current...)
+	bestE := cur // incremental energy of best
 
 	every := cfg.ProgressEvery
 	if every <= 0 {
@@ -244,12 +255,12 @@ func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg C
 	}
 	cool := math.Pow(t1/t0, 1/math.Max(1, float64(steps-1)))
 	temp := t0
+	var err error
 	for step := 0; step < steps; step++ {
-		if err := ctx.Err(); err != nil {
+		if err = ctx.Err(); err != nil {
 			res.Steps = step
-			res.Best = placement.New(t, best, "annealed")
 			sp.SetAttr("outcome", "cancelled")
-			return finish(res), err
+			break
 		}
 		// Propose: move one processor to a random free node.
 		pi := rng.Intn(cfg.Size)
@@ -260,29 +271,25 @@ func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg C
 				break
 			}
 		}
-		old := current[pi]
-		occupied[old] = false
-		occupied[target] = true
-		current[pi] = target
-		next := energy(t, current, alg, cfg.Workers)
-		accept := next <= cur || rng.Float64() < math.Exp((cur-next)/temp)
-		if accept {
+		next := state.propose(current, pi, target)
+		if next <= cur+searchEps || rng.Float64() < math.Exp((cur-next)/temp) {
+			state.accept()
+			occupied[current[pi]] = false
+			occupied[target] = true
+			current[pi] = target
 			cur = next
 			res.Accepted++
-			if cur < res.BestEMax {
-				res.BestEMax = cur
+			if cur < bestE-searchEps {
+				bestE = cur
 				copy(best, current)
 			}
-		} else {
-			occupied[target] = false
-			occupied[old] = true
-			current[pi] = old
 		}
 		temp *= cool
 		if cfg.Progress != nil && (step+1)%every == 0 {
-			cfg.Progress(Progress{Strategy: StrategyAnneal, Step: step + 1, Steps: steps, BestEMax: res.BestEMax})
+			cfg.Progress(Progress{Strategy: StrategyAnneal, Step: step + 1, Steps: steps, BestEMax: bestE})
 		}
 	}
 	res.Best = placement.New(t, best, "annealed")
-	return finish(res), nil
+	res.BestEMax = load.ComputeCtx(sctx, res.Best, alg, load.Options{Workers: cfg.Workers}).Max
+	return finish(res), err
 }

@@ -35,34 +35,72 @@ func IsTranslationEquivariant(alg Algorithm) bool {
 
 // InplaceAccumulator is implemented by algorithms that can accumulate a
 // pair's per-edge expectation directly into a dense loads slice without
-// going through a func(Edge, float64) closure. load.Compute prefers it.
+// going through a func(Edge, float64) closure. PairRouter prefers it.
 type InplaceAccumulator interface {
 	Algorithm
 	// AccumulatePairInto behaves exactly like AccumulatePair(t, p, q, add)
 	// with add = func(e, w) { loads[e] += w }, but reuses sc for every
-	// intermediate slice. loads must have length t.Edges(); sc must have
-	// been built by NewPairScratch for a torus of the same dimension.
+	// intermediate slice. loads must have length t.Edges(); sc must be a
+	// PairRouter's scratch for a torus of the same dimension.
 	AccumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, sc *PairScratch)
 }
 
-// PairScratch holds the per-worker buffers the Into kernels reuse across
+// PairScratch holds the buffers the Into kernels reuse across
 // pairs. A scratch is sized for one torus dimension d and must not be shared
-// between goroutines; each load-engine worker owns one.
+// between goroutines; each PairRouter owns one.
 type PairScratch struct {
 	dims   []int
 	deltas []torus.Delta
 	coords []int
 }
 
-// NewPairScratch returns a scratch sized for t. It is valid for any torus
+// newPairScratch returns a scratch sized for t. It is valid for any torus
 // with the same dimension.
-func NewPairScratch(t *torus.Torus) *PairScratch {
+func newPairScratch(t *torus.Torus) PairScratch {
 	d := t.D()
-	return &PairScratch{
+	return PairScratch{
 		dims:   make([]int, 0, d),
 		deltas: make([]torus.Delta, 0, d),
 		coords: make([]int, d),
 	}
+}
+
+// PairRouter is the single pair-routing entry point of the load engines and
+// the placement searches: Route adds one ordered pair's per-edge
+// expectation into a dense loads slice. Algorithms with an Into kernel go
+// through it with the router's own scratch; the others go through their
+// AccumulatePair closure, adapted once per router onto the target slice.
+// A router must not be shared between goroutines.
+type PairRouter struct {
+	t    *torus.Torus
+	alg  Algorithm
+	into InplaceAccumulator // alg's Into kernel; nil when it has none
+	sc   PairScratch
+
+	add func(torus.Edge, float64) // callback adapter depositing into dst
+	dst []float64
+}
+
+// NewPairRouter returns a router for alg on t.
+func NewPairRouter(t *torus.Torus, alg Algorithm) *PairRouter {
+	r := &PairRouter{t: t, alg: alg}
+	if ia, ok := alg.(InplaceAccumulator); ok {
+		r.into, r.sc = ia, newPairScratch(t)
+	} else {
+		r.add = func(e torus.Edge, w float64) { r.dst[e] += w }
+	}
+	return r
+}
+
+// Route adds the expected load of the ordered pair (p, q) on every edge
+// into loads, which must have length t.Edges().
+func (r *PairRouter) Route(p, q torus.Node, loads []float64) {
+	if r.into != nil {
+		r.into.AccumulatePairInto(r.t, p, q, loads, &r.sc)
+		return
+	}
+	r.dst = loads
+	r.alg.AccumulatePair(r.t, p, q, r.add)
 }
 
 // differingInto is the scratch-backed form of differing: it fills sc.dims

@@ -14,7 +14,7 @@ func TestAccumulatePairIntoMatchesClosure(t *testing.T) {
 	algs := []InplaceAccumulator{ODR{}, ODRMulti{}, UDR{}, UDRMulti{}}
 	for _, tc := range []struct{ k, d int }{{4, 2}, {5, 2}, {4, 3}, {3, 3}, {6, 2}} {
 		tr := torus.New(tc.k, tc.d)
-		sc := NewPairScratch(tr)
+		sc := newPairScratch(tr)
 		for _, alg := range algs {
 			want := make([]float64, tr.Edges())
 			got := make([]float64, tr.Edges())
@@ -25,7 +25,7 @@ func TestAccumulatePairIntoMatchesClosure(t *testing.T) {
 					}
 					alg.AccumulatePair(tr, torus.Node(p), torus.Node(q),
 						func(e torus.Edge, w float64) { want[e] += w })
-					alg.AccumulatePairInto(tr, torus.Node(p), torus.Node(q), got, sc)
+					alg.AccumulatePairInto(tr, torus.Node(p), torus.Node(q), got, &sc)
 					for e := range want {
 						if math.Abs(want[e]-got[e]) > 1e-12 {
 							t.Fatalf("%s on T^%d_%d pair (%d,%d) edge %d: closure %g, into %g",
@@ -42,15 +42,45 @@ func TestAccumulatePairIntoMatchesClosure(t *testing.T) {
 // steady state — the property the load engine's hot loop relies on.
 func TestAccumulatePairIntoAllocFree(t *testing.T) {
 	tr := torus.New(6, 3)
-	sc := NewPairScratch(tr)
+	sc := newPairScratch(tr)
 	loads := make([]float64, tr.Edges())
 	p, q := torus.Node(0), torus.Node(tr.Nodes()-1)
 	for _, alg := range []InplaceAccumulator{ODR{}, ODRMulti{}, UDR{}, UDRMulti{}} {
 		allocs := testing.AllocsPerRun(20, func() {
-			alg.AccumulatePairInto(tr, p, q, loads, sc)
+			alg.AccumulatePairInto(tr, p, q, loads, &sc)
 		})
 		if allocs != 0 {
 			t.Errorf("%s.AccumulatePairInto allocates %v times per pair, want 0", alg.Name(), allocs)
+		}
+	}
+}
+
+// TestPairRouterMatchesClosure checks that PairRouter deposits exactly the
+// closure's per-edge mass on both of its paths (Into kernel and callback
+// adapter) and adds no allocation per pair beyond the algorithm's own.
+func TestPairRouterMatchesClosure(t *testing.T) {
+	tr := torus.New(5, 3)
+	algs := []Algorithm{ODR{}, ODRMulti{}, UDR{}, UDRMulti{}, FAR{}, ODROrder{Order: []int{2, 0, 1}}, MeshODR{}}
+	for _, alg := range algs {
+		r := NewPairRouter(tr, alg)
+		want := make([]float64, tr.Edges())
+		got := make([]float64, tr.Edges())
+		for p := 0; p < tr.Nodes(); p += 7 {
+			for q := 0; q < tr.Nodes(); q += 3 {
+				alg.AccumulatePair(tr, torus.Node(p), torus.Node(q), func(e torus.Edge, w float64) { want[e] += w })
+				r.Route(torus.Node(p), torus.Node(q), got)
+			}
+		}
+		for e := range want {
+			if math.Abs(want[e]-got[e]) > 1e-12 {
+				t.Fatalf("%s edge %d: closure %g, router %g", alg.Name(), e, want[e], got[e])
+			}
+		}
+		p, q := torus.Node(0), torus.Node(tr.Nodes()-1)
+		add := func(e torus.Edge, w float64) { want[e] += w }
+		own := testing.AllocsPerRun(20, func() { alg.AccumulatePair(tr, p, q, add) })
+		if allocs := testing.AllocsPerRun(20, func() { r.Route(p, q, got) }); allocs > own {
+			t.Errorf("%s: Route allocates %v times per pair, the algorithm itself %v", alg.Name(), allocs, own)
 		}
 	}
 }

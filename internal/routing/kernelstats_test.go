@@ -13,7 +13,7 @@ import (
 func TestKernelCountersRecordPairs(t *testing.T) {
 	tr := torus.New(4, 2)
 	loads := make([]float64, tr.Edges())
-	sc := NewPairScratch(tr)
+	sc := newPairScratch(tr)
 	kernels := []struct {
 		alg InplaceAccumulator
 		c   *obs.Counter
@@ -25,7 +25,7 @@ func TestKernelCountersRecordPairs(t *testing.T) {
 	}
 	for _, k := range kernels {
 		before := k.c.Value()
-		k.alg.AccumulatePairInto(tr, 0, 5, loads, sc)
+		k.alg.AccumulatePairInto(tr, 0, 5, loads, &sc)
 		if k.c.Value() != before {
 			t.Errorf("%T: counter moved with the gate off", k.alg)
 		}
@@ -34,8 +34,8 @@ func TestKernelCountersRecordPairs(t *testing.T) {
 	defer obs.SetCountersEnabled(false)
 	for _, k := range kernels {
 		before := k.c.Value()
-		k.alg.AccumulatePairInto(tr, 0, 5, loads, sc)
-		k.alg.AccumulatePairInto(tr, 1, 6, loads, sc)
+		k.alg.AccumulatePairInto(tr, 0, 5, loads, &sc)
+		k.alg.AccumulatePairInto(tr, 1, 6, loads, &sc)
 		if got := k.c.Value() - before; got != 2 {
 			t.Errorf("%T: counter advanced by %d for 2 pairs", k.alg, got)
 		}
@@ -48,9 +48,9 @@ func TestKernelCountersRecordPairs(t *testing.T) {
 func TestKernelCounterZeroAllocs(t *testing.T) {
 	tr := torus.New(8, 2)
 	loads := make([]float64, tr.Edges())
-	sc := NewPairScratch(tr)
+	sc := newPairScratch(tr)
 	run := func() {
-		ODR{}.AccumulatePairInto(tr, 0, 27, loads, sc)
+		ODR{}.AccumulatePairInto(tr, 0, 27, loads, &sc)
 	}
 	if n := testing.AllocsPerRun(200, run); n != 0 {
 		t.Errorf("gate off: ODR kernel allocates %v/op, want 0", n)
@@ -69,11 +69,11 @@ func TestKernelCounterZeroAllocs(t *testing.T) {
 func BenchmarkODRKernelCounterOverhead(b *testing.B) {
 	tr := torus.New(8, 2)
 	loads := make([]float64, tr.Edges())
-	sc := NewPairScratch(tr)
+	sc := newPairScratch(tr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ODR{}.AccumulatePairInto(tr, 0, 27, loads, sc)
+		ODR{}.AccumulatePairInto(tr, 0, 27, loads, &sc)
 	}
 }
 

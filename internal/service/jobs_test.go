@@ -101,6 +101,43 @@ func TestJobCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestJobAnnealFullTorus pins the regression where an anneal whose size
+// fills the torus had no free node to move to: its proposal loop spun
+// forever, past the job deadline, and wedged the server's close. The job
+// must finish with the only placement after 0 steps, and close must return.
+func TestJobAnnealFullTorus(t *testing.T) {
+	leaks := checkGoroutineLeaks(t)
+	defer leaks()
+	_, c, stop := newTestServer(t, Config{Workers: 2, JobTimeout: 2 * time.Second})
+	ctx := context.Background()
+
+	acc, err := c.Optimize(ctx, OptimizeRequest{K: 3, D: 2, Size: 9, Routing: "odr", Strategy: "anneal"})
+	if err != nil {
+		stop()
+		t.Fatalf("submit: %v", err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	snap, err := c.WaitJob(wctx, acc.ID, 5*time.Millisecond)
+	if err != nil {
+		t.Errorf("wait: %v", err)
+	} else if snap.State != JobStateDone || snap.Result == nil {
+		t.Errorf("terminal snapshot: %+v", snap)
+	} else if len(snap.Result.Nodes) != 9 || snap.Result.Steps != 0 {
+		t.Errorf("full-torus anneal: %d nodes after %d steps, want 9 after 0", len(snap.Result.Nodes), snap.Result.Steps)
+	}
+	closed := make(chan struct{})
+	go func() {
+		stop()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("server close did not return")
+	}
+}
+
 func TestJobTTLExpiry(t *testing.T) {
 	leaks := checkGoroutineLeaks(t)
 	defer leaks()

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # bench_load.sh — regenerate results/BENCH_load.json (load-engine benchmarks).
 #
-# Runs the BenchmarkLoadCompute* micro-benchmarks plus BenchmarkE31FastPath
-# and the BenchmarkAnalyzeAnalytic* closed-form tier benchmarks
+# Runs the BenchmarkLoadCompute* micro-benchmarks plus BenchmarkE31FastPath,
+# the BenchmarkAnalyzeAnalytic* closed-form tier benchmarks and the
+# placement-search jobs BenchmarkBranchBoundT28 and BenchmarkAnnealT38
 # with -benchmem -count=$BENCH_COUNT (default 3) at -cpu 1 (the GOMAXPROCS
 # the baseline was recorded at), keeps each benchmark's
 # fastest run, and writes results/BENCH_load.json recording the current
 # ("after") numbers side by side with the committed pre-fast-path baseline
-# ("before", results/BENCH_load_baseline.json) and the resulting speedup and
+# ("before", results/BENCH_load_baseline.json; for the two search jobs, the
+# whole-placement search energy) and the resulting speedup and
 # allocation-reduction factors. Run from the repository root; `make bench`
 # invokes this script.
 set -euo pipefail
@@ -18,8 +20,8 @@ OUT="results/BENCH_load.json"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-echo "bench: go test -bench LoadCompute|E31FastPath|AnalyzeAnalytic -benchmem -count=${COUNT} -cpu 1"
-go test -run '^$' -bench '^(BenchmarkLoadCompute[A-Za-z]*|BenchmarkE31FastPath|BenchmarkAnalyzeAnalytic[A-Za-z0-9]*)$' \
+echo "bench: go test -bench LoadCompute|E31FastPath|AnalyzeAnalytic|BranchBoundT28|AnnealT38 -benchmem -count=${COUNT} -cpu 1"
+go test -run '^$' -bench '^(BenchmarkLoadCompute[A-Za-z]*|BenchmarkE31FastPath|BenchmarkAnalyzeAnalytic[A-Za-z0-9]*|BenchmarkBranchBoundT28|BenchmarkAnnealT38)$' \
     -benchmem -count="$COUNT" -cpu 1 . | tee "$RAW"
 
 # Keep each benchmark's minimum ns/op run (and that run's B/op + allocs/op).

@@ -3,13 +3,15 @@
 #
 # Runs the paired fast/generic BenchmarkLoadCompute* benchmarks once at a
 # short benchtime and fails on a >30% regression relative to the committed
-# expectations in results/BENCH_load_baseline.json (.fastpath). Only
+# expectations in results/BENCH_load_baseline.json (.fastpath, .search). Only
 # machine-independent quantities are gated so the check is stable across
 # CI hardware:
 #
 #   1. allocs/op per benchmark must not exceed the recorded value by >30%
 #      (allocation counts are deterministic, so this catches any lost
-#      scratch reuse immediately);
+#      scratch reuse immediately); this covers the paired load benchmarks
+#      (.fastpath) and the two placement-search jobs (.search), whose
+#      incremental state allocates nothing per expansion or step;
 #   2. the generic/fast ns-per-op ratio, measured within this single run,
 #      must not fall below the recorded speedup by >30% (both sides see the
 #      same machine and load, so the ratio cancels hardware out);
@@ -30,9 +32,9 @@ SLACK=1.3
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-echo "bench-smoke: running paired load benchmarks"
+echo "bench-smoke: running paired load benchmarks and the search jobs"
 go test -run '^$' \
-    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkAnalyzeAnalytic(K16|K64|K256)?)$' \
+    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT28|BenchmarkAnnealT38)$' \
     -benchmem -benchtime=0.5s -count=1 -cpu 1 . | tee "$RAW"
 
 # name -> ns/op and name -> allocs/op maps from this run.
@@ -56,7 +58,7 @@ while read -r name want got limit; do
         echo "  ok $name allocs/op $got <= $limit"
     fi
 done < <(jq -r --argjson m "$measured" --argjson s "$SLACK" '
-    .fastpath.benches | to_entries[] |
+    (.fastpath.benches + .search.benches) | to_entries[] |
     "\(.key) \(.value.allocs_per_op) \($m[.key].allocs // null) \(.value.allocs_per_op * $s | ceil)"' \
     "$BASELINE")
 
