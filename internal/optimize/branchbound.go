@@ -31,17 +31,21 @@ const bnbCheckEvery = 4096
 // bnb is the search state of one BranchAndBound run. Edge loads are kept
 // per depth: levels[m] is the load of the first m chosen nodes, so
 // descending writes a fresh level and backtracking just moves back one
-// depth. Reverts are exact and nothing is allocated per expansion.
+// depth. Reverts are exact and nothing is allocated per expansion. Loads
+// only grow with depth, so each level's maximum is the previous one's
+// raised by the edges the new node's pairs touch; no level is scanned.
 type bnb struct {
 	t *torus.Torus
 	r *routing.PairRouter
 
-	levels [][]float64 // levels[m]: per-edge load of chosen[:m]
-	chosen []torus.Node
-	best   []torus.Node
-	bestE  float64 // incumbent energy (strict prune threshold)
-	floor  float64 // placement-independent lower bound
-	done   bool    // incumbent met the floor: provably optimal, stop
+	levels  [][]float64  // levels[m]: per-edge load of chosen[:m]
+	maxes   []float64    // maxes[m]: the largest entry of levels[m]
+	touched []torus.Edge // edges the last addNode routed onto, reused
+	chosen  []torus.Node
+	best    []torus.Node
+	bestE   float64 // incumbent energy (strict prune threshold)
+	floor   float64 // placement-independent lower bound
+	done    bool    // incumbent met the floor: provably optimal, stop
 
 	visited, pruned int64
 	budget          int64
@@ -58,6 +62,7 @@ func newBnb(t *torus.Torus, alg routing.Algorithm, size int) *bnb {
 		t:      t,
 		r:      routing.NewPairRouter(t, alg),
 		levels: newLoadVectors(size+1, t.Edges()),
+		maxes:  make([]float64, size+1),
 		chosen: make([]torus.Node, 0, size),
 	}
 }
@@ -208,7 +213,17 @@ func (b *bnb) addNode(v torus.Node) float64 {
 	m := len(b.chosen)
 	next := b.levels[m+1]
 	copy(next, b.levels[m])
-	exchangeInto(b.r, v, b.chosen, -1, next)
+	touched := b.touched[:0]
+	for _, u := range b.chosen {
+		touched = b.r.RouteTracked(u, v, next, touched)
+		touched = b.r.RouteTracked(v, u, next, touched)
+	}
+	b.touched = touched
+	mx := b.maxes[m]
+	for _, e := range touched {
+		mx = max(mx, next[e])
+	}
+	b.maxes[m+1] = mx
 	b.chosen = append(b.chosen, v)
-	return maxLoad(next)
+	return mx
 }

@@ -98,6 +98,9 @@ func FuzzSearchLoads(f *testing.F) {
 				if math.Abs(got-maxLoad(want)) > 1e-9 {
 					t.Fatalf("step %d %s: bnb max %v, load engine %v", step, alg.Name(), got, maxLoad(want))
 				}
+				if scan := maxLoad(b.levels[len(b.chosen)]); math.Float64bits(got) != math.Float64bits(scan) {
+					t.Fatalf("step %d %s: bnb running max %v, level scan %v", step, alg.Name(), got, scan)
+				}
 			default: // branch-and-bound backtracks one depth
 				if len(b.chosen) == 0 {
 					continue
@@ -125,4 +128,13 @@ func checkLoads(t *testing.T, step int, what string, alg routing.Algorithm, got,
 			t.Fatalf("step %d %s %s: edge %d incremental %v, load engine %v", step, what, alg.Name(), e, got[e], want[e])
 		}
 	}
+}
+
+// maxLoad returns the largest entry of loads (0 for none).
+func maxLoad(loads []float64) float64 {
+	m := 0.0
+	for _, v := range loads {
+		m = max(m, v)
+	}
+	return m
 }

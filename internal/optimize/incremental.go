@@ -30,17 +30,6 @@ func exchangeInto(r *routing.PairRouter, v torus.Node, others []torus.Node, skip
 	}
 }
 
-// maxLoad returns the largest entry of loads (0 for none).
-func maxLoad(loads []float64) float64 {
-	m := 0.0
-	for _, v := range loads {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // newLoadVectors returns n zeroed per-edge load vectors of the given
 // length, carved from one allocation.
 func newLoadVectors(n, edges int) [][]float64 {

@@ -217,18 +217,24 @@ func naiveOptimum(t *torus.Torus, size int, alg routing.Algorithm) float64 {
 }
 
 func TestBranchBoundMatchesNaiveEnumeration(t *testing.T) {
+	// tol is 0 wherever the loads are dyadic (sums of integers, halves and
+	// quarters are exact in any order), so the optimum must match exactly.
+	// FAR's path weights are not dyadic and the incremental search sums them
+	// in a different order than the naive oracle, so its row compares
+	// within searchEps.
 	cases := []struct {
 		k, d, size int
 		alg        routing.Algorithm
+		tol        float64
 	}{
-		{4, 2, 4, routing.ODR{}},
-		{4, 2, 5, routing.ODR{}},
-		{5, 2, 4, routing.UDR{}},
-		{3, 3, 4, routing.ODR{}},
-		{4, 2, 5, routing.ODRMulti{}},
-		{4, 2, 4, routing.UDRMulti{}},
-		{5, 2, 4, routing.FAR{}},
-		{4, 2, 4, routing.MeshODR{}},
+		{4, 2, 4, routing.ODR{}, 0},
+		{4, 2, 5, routing.ODR{}, 0},
+		{5, 2, 4, routing.UDR{}, 0},
+		{3, 3, 4, routing.ODR{}, 0},
+		{4, 2, 5, routing.ODRMulti{}, 0},
+		{4, 2, 4, routing.UDRMulti{}, 0},
+		{5, 2, 4, routing.FAR{}, searchEps},
+		{4, 2, 4, routing.MeshODR{}, 0},
 	}
 	for _, c := range cases {
 		tr := torus.New(c.k, c.d)
@@ -240,7 +246,7 @@ func TestBranchBoundMatchesNaiveEnumeration(t *testing.T) {
 		if !res.Proven {
 			t.Errorf("k=%d d=%d size=%d: not proven", c.k, c.d, c.size)
 		}
-		if math.Abs(res.BestEMax-want) > searchEps {
+		if math.Abs(res.BestEMax-want) > c.tol {
 			t.Errorf("k=%d d=%d size=%d %s: bnb %v, naive optimum %v",
 				c.k, c.d, c.size, c.alg.Name(), res.BestEMax, want)
 		}

@@ -33,32 +33,37 @@ func IsTranslationEquivariant(alg Algorithm) bool {
 	return ok && te.TranslationEquivariant()
 }
 
-// InplaceAccumulator is implemented by algorithms that can accumulate a
+// inplaceAccumulator is implemented by algorithms that can accumulate a
 // pair's per-edge expectation directly into a dense loads slice without
 // going through a func(Edge, float64) closure. PairRouter prefers it.
-type InplaceAccumulator interface {
+type inplaceAccumulator interface {
 	Algorithm
-	// AccumulatePairInto behaves exactly like AccumulatePair(t, p, q, add)
+	// accumulatePairInto behaves exactly like AccumulatePair(t, p, q, add)
 	// with add = func(e, w) { loads[e] += w }, but reuses sc for every
 	// intermediate slice. loads must have length t.Edges(); sc must be a
 	// PairRouter's scratch for a torus of the same dimension.
-	AccumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, sc *PairScratch)
+	accumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, sc *pairScratch)
 }
 
-// PairScratch holds the buffers the Into kernels reuse across
+// pairScratch holds the buffers the Into kernels reuse across
 // pairs. A scratch is sized for one torus dimension d and must not be shared
 // between goroutines; each PairRouter owns one.
-type PairScratch struct {
+type pairScratch struct {
 	dims   []int
 	deltas []torus.Delta
 	coords []int
+
+	// While track is set, every edge that receives mass is appended to
+	// touched (see PairRouter.RouteTracked).
+	track   bool
+	touched []torus.Edge
 }
 
 // newPairScratch returns a scratch sized for t. It is valid for any torus
 // with the same dimension.
-func newPairScratch(t *torus.Torus) PairScratch {
+func newPairScratch(t *torus.Torus) pairScratch {
 	d := t.D()
-	return PairScratch{
+	return pairScratch{
 		dims:   make([]int, 0, d),
 		deltas: make([]torus.Delta, 0, d),
 		coords: make([]int, d),
@@ -74,8 +79,8 @@ func newPairScratch(t *torus.Torus) PairScratch {
 type PairRouter struct {
 	t    *torus.Torus
 	alg  Algorithm
-	into InplaceAccumulator // alg's Into kernel; nil when it has none
-	sc   PairScratch
+	into inplaceAccumulator // alg's Into kernel; nil when it has none
+	sc   pairScratch
 
 	add func(torus.Edge, float64) // callback adapter depositing into dst
 	dst []float64
@@ -84,10 +89,15 @@ type PairRouter struct {
 // NewPairRouter returns a router for alg on t.
 func NewPairRouter(t *torus.Torus, alg Algorithm) *PairRouter {
 	r := &PairRouter{t: t, alg: alg}
-	if ia, ok := alg.(InplaceAccumulator); ok {
+	if ia, ok := alg.(inplaceAccumulator); ok {
 		r.into, r.sc = ia, newPairScratch(t)
 	} else {
-		r.add = func(e torus.Edge, w float64) { r.dst[e] += w }
+		r.add = func(e torus.Edge, w float64) {
+			r.dst[e] += w
+			if r.sc.track {
+				r.sc.touched = append(r.sc.touched, e)
+			}
+		}
 	}
 	return r
 }
@@ -96,16 +106,27 @@ func NewPairRouter(t *torus.Torus, alg Algorithm) *PairRouter {
 // into loads, which must have length t.Edges().
 func (r *PairRouter) Route(p, q torus.Node, loads []float64) {
 	if r.into != nil {
-		r.into.AccumulatePairInto(r.t, p, q, loads, &r.sc)
+		r.into.accumulatePairInto(r.t, p, q, loads, &r.sc)
 		return
 	}
 	r.dst = loads
 	r.alg.AccumulatePair(r.t, p, q, r.add)
 }
 
+// RouteTracked is Route that also appends every edge it adds load to, with
+// repeats, onto touched and returns the extended slice. Passing the result
+// back in reuses its storage, so a warm caller allocates nothing.
+func (r *PairRouter) RouteTracked(p, q torus.Node, loads []float64, touched []torus.Edge) []torus.Edge {
+	r.sc.track, r.sc.touched = true, touched
+	r.Route(p, q, loads)
+	touched = r.sc.touched
+	r.sc.track, r.sc.touched = false, nil
+	return touched
+}
+
 // differingInto is the scratch-backed form of differing: it fills sc.dims
 // and sc.deltas with the dimensions where p and q differ.
-func (sc *PairScratch) differingInto(t *torus.Torus, p, q torus.Node) ([]int, []torus.Delta) {
+func (sc *pairScratch) differingInto(t *torus.Torus, p, q torus.Node) ([]int, []torus.Delta) {
 	dims, deltas := sc.dims[:0], sc.deltas[:0]
 	for j := 0; j < t.D(); j++ {
 		del := torus.CoordDelta(t.Coord(p, j), t.Coord(q, j), t.K())
@@ -120,9 +141,19 @@ func (sc *PairScratch) differingInto(t *torus.Torus, p, q torus.Node) ([]int, []
 
 // accumulateDim adds weight w to every edge of a full dimension-j correction
 // of 'steps' hops starting at 'from', directly into loads, and returns the
-// node reached. It is visitDim with the closure flattened out.
-func accumulateDim(t *torus.Torus, from torus.Node, j int, dir torus.Direction, steps int, w float64, loads []float64) torus.Node {
+// node reached. It is visitDim with the closure flattened out. The tracked
+// loop is kept apart so the load engine's loop carries no per-edge branch.
+func (sc *pairScratch) accumulateDim(t *torus.Torus, from torus.Node, j int, dir torus.Direction, steps int, w float64, loads []float64) torus.Node {
 	cur := from
+	if sc.track {
+		for s := 0; s < steps; s++ {
+			e := t.EdgeFrom(cur, j, dir)
+			loads[e] += w
+			sc.touched = append(sc.touched, e)
+			cur = t.Step(cur, j, dir)
+		}
+		return cur
+	}
 	for s := 0; s < steps; s++ {
 		e := t.EdgeFrom(cur, j, dir)
 		loads[e] += w
@@ -135,25 +166,25 @@ func accumulateDim(t *torus.Torus, from torus.Node, j int, dir torus.Direction, 
 // coordinate deltas.
 func (ODR) TranslationEquivariant() bool { return true }
 
-// AccumulatePairInto implements InplaceAccumulator: the unique canonical
+// accumulatePairInto implements inplaceAccumulator: the unique canonical
 // path carries the full unit mass.
-func (ODR) AccumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, sc *PairScratch) {
+func (ODR) accumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, sc *pairScratch) {
 	statPairsODR.Inc()
 	cur := p
 	for j := 0; j < t.D(); j++ {
 		del := torus.CoordDelta(t.Coord(cur, j), t.Coord(q, j), t.K())
-		cur = accumulateDim(t, cur, j, del.Dir, del.Dist, 1, loads)
+		cur = sc.accumulateDim(t, cur, j, del.Dir, del.Dist, 1, loads)
 	}
 }
 
 // TranslationEquivariant implements the marker.
 func (ODRMulti) TranslationEquivariant() bool { return true }
 
-// AccumulatePairInto implements InplaceAccumulator. The state machine of
+// accumulatePairInto implements inplaceAccumulator. The state machine of
 // AccumulatePair never forks — a tied dimension's two arcs converge on the
 // same node — so the kernel is a single forward walk where tied dimensions
 // halve the edge mass across both arcs.
-func (ODRMulti) AccumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, sc *PairScratch) {
+func (ODRMulti) accumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, sc *pairScratch) {
 	statPairsODRMulti.Inc()
 	cur := p
 	for j := 0; j < t.D(); j++ {
@@ -162,10 +193,10 @@ func (ODRMulti) AccumulatePairInto(t *torus.Torus, p, q torus.Node, loads []floa
 			continue
 		}
 		if del.Tie {
-			accumulateDim(t, cur, j, torus.Plus, del.Dist, 0.5, loads)
-			cur = accumulateDim(t, cur, j, torus.Minus, del.Dist, 0.5, loads)
+			sc.accumulateDim(t, cur, j, torus.Plus, del.Dist, 0.5, loads)
+			cur = sc.accumulateDim(t, cur, j, torus.Minus, del.Dist, 0.5, loads)
 		} else {
-			cur = accumulateDim(t, cur, j, del.Dir, del.Dist, 1, loads)
+			cur = sc.accumulateDim(t, cur, j, del.Dir, del.Dist, 1, loads)
 		}
 	}
 }
@@ -173,11 +204,11 @@ func (ODRMulti) AccumulatePairInto(t *torus.Torus, p, q torus.Node, loads []floa
 // TranslationEquivariant implements the marker.
 func (UDR) TranslationEquivariant() bool { return true }
 
-// AccumulatePairInto implements InplaceAccumulator with the same segment
+// accumulatePairInto implements inplaceAccumulator with the same segment
 // decomposition as AccumulatePair (|S|!·(s−1−|S|)!/s! per "S corrected
 // before j" segment), but with dims/deltas/coords drawn from the scratch and
 // the 'others' indirection replaced by skipping jIdx in the mask loop.
-func (UDR) AccumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, sc *PairScratch) {
+func (UDR) accumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, sc *pairScratch) {
 	statPairsUDR.Inc()
 	dims, deltas := sc.differingInto(t, p, q)
 	s := len(dims)
@@ -203,7 +234,7 @@ func (UDR) AccumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, 
 			}
 			w := factorial(size) * factorial(s-1-size) / sFact
 			start := t.NodeAt(coords)
-			accumulateDim(t, start, dims[jIdx], deltas[jIdx].Dir, deltas[jIdx].Dist, w, loads)
+			sc.accumulateDim(t, start, dims[jIdx], deltas[jIdx].Dir, deltas[jIdx].Dist, w, loads)
 		}
 	}
 }
@@ -211,9 +242,9 @@ func (UDR) AccumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, 
 // TranslationEquivariant implements the marker.
 func (UDRMulti) TranslationEquivariant() bool { return true }
 
-// AccumulatePairInto implements InplaceAccumulator: UDR's order-position
+// accumulatePairInto implements inplaceAccumulator: UDR's order-position
 // weights with tie expansion halving each tied segment across its two arcs.
-func (UDRMulti) AccumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, sc *PairScratch) {
+func (UDRMulti) accumulatePairInto(t *torus.Torus, p, q torus.Node, loads []float64, sc *pairScratch) {
 	statPairsUDRMulti.Inc()
 	dims, deltas := sc.differingInto(t, p, q)
 	s := len(dims)
@@ -241,10 +272,10 @@ func (UDRMulti) AccumulatePairInto(t *torus.Torus, p, q torus.Node, loads []floa
 			start := t.NodeAt(coords)
 			del := deltas[jIdx]
 			if del.Tie {
-				accumulateDim(t, start, dims[jIdx], torus.Plus, del.Dist, w/2, loads)
-				accumulateDim(t, start, dims[jIdx], torus.Minus, del.Dist, w/2, loads)
+				sc.accumulateDim(t, start, dims[jIdx], torus.Plus, del.Dist, w/2, loads)
+				sc.accumulateDim(t, start, dims[jIdx], torus.Minus, del.Dist, w/2, loads)
 			} else {
-				accumulateDim(t, start, dims[jIdx], del.Dir, del.Dist, w, loads)
+				sc.accumulateDim(t, start, dims[jIdx], del.Dir, del.Dist, w, loads)
 			}
 		}
 	}
